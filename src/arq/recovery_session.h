@@ -192,11 +192,7 @@ struct SessionConfig {
 
 class RecoverySession {
  public:
-  // A session with no edges; the deprecated setters below can still
-  // patch the topology in afterwards.
-  RecoverySession() = default;
-
-  // The immutable-topology form: every edge, the optional initial
+  // The topology is immutable: every edge, the optional initial
   // broadcast, and the relay budget arrive together and never change.
   explicit RecoverySession(SessionConfig config);
 
@@ -204,15 +200,6 @@ class RecoverySession {
   // as the routing order for broadcast delivery. Exactly one
   // destination is required by Run().
   PartyId AddParty(std::unique_ptr<RecoveryParticipant> participant);
-
-  // DEPRECATED forwarding shims, kept one release so callers migrate
-  // to SessionConfig incrementally. These validate eagerly against the
-  // current roster (the historical behavior); the config path defers
-  // validation to first traffic.
-  void SetEdgeChannel(PartyId from, PartyId to, BodyChannel channel);
-  void SetInitialBroadcast(PartyId from, std::vector<PartyId> listeners,
-                           BroadcastBodyChannel channel);
-  void SetRelayAirtimeBudget(std::size_t bits_per_round);
 
   // The initial packet transmission: one broadcast from `source`; every
   // party with an incoming edge from it ingests its own loss-process

@@ -1,15 +1,17 @@
 #include "collide/runner.h"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "arq/pp_arq.h"
+#include "arq/recovery_session.h"
 #include "obs/obs.h"
 
 namespace ppr::collide {
 
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
-    const BitVec& payload_bits, const arq::PpArqConfig& config,
-    const arq::RecoveryStrategy& strategy,
+    const BitVec& payload_bits, const arq::RecoveryStrategy& strategy,
     const arq::BodyChannel& repair_channel,
     const CollisionEpisodeParams& episode_params, Rng& episode_rng,
     const CollisionListenerConfig& listener_config, bool resolve,
@@ -22,18 +24,28 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
   const CollisionEpisode episode =
       DrawCollisionEpisode(codebook, body, episode_params, episode_rng);
 
-  auto sender = strategy.MakeSender(body, seq);
+  // The initial delivery is the first capture; repairs cross the
+  // caller's channel (by reference, so its loss process advances).
+  arq::SessionConfig topology;
+  topology.edges.push_back(
+      {arq::kSessionSourceId, arq::kSessionDestinationId,
+       [&repair_channel](const BitVec& bits) { return repair_channel(bits); }});
+  topology.initial_broadcast = arq::SessionBroadcast{
+      arq::kSessionSourceId,
+      {arq::kSessionDestinationId},
+      [&episode](const BitVec&) {
+        return std::vector<std::vector<phy::DecodedSymbol>>{
+            InitialSymbolsFromCapture(episode.first)};
+      }};
+  arq::RecoverySession session(std::move(topology));
+  session.AddParty(arq::MakeSenderParticipant(strategy.MakeSender(body, seq)));
   auto receiver = strategy.MakeReceiver(seq, body.size() / 4);
-
-  // Both collided copies of A crossed the air whether or not anything
-  // is distilled from them, so both legs pay the same initial budget.
-  out.totals.data_transmissions = 2;
-  out.totals.forward_bits = 2 * body.size();
-  receiver->IngestInitial(InitialSymbolsFromCapture(episode.first));
+  auto* consumer =
+      dynamic_cast<arq::CollisionEquationConsumer*>(receiver.get());
+  session.AddParty(arq::MakeReceiverParticipant(std::move(receiver)));
+  session.TransmitInitial(arq::kSessionSourceId, body);
 
   if (resolve) {
-    auto* consumer = dynamic_cast<arq::CollisionEquationConsumer*>(
-        receiver.get());
     if (consumer == nullptr) {
       throw std::invalid_argument(
           "RunCollisionRecoveryExchange: strategy's receiver does not "
@@ -48,31 +60,14 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
     obs::Count("collide.rank_gained", out.rank_gained);
   }
 
-  // The standard coded feedback loop finishes the packet.
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    const auto feedback = receiver->BuildFeedbackWire();
-    if (!feedback.has_value()) break;
-    ++out.rounds;
-    out.totals.feedback_bits += feedback->size();
-    const arq::RepairPlan plan = sender->HandleFeedback(*feedback);
-    out.totals.forward_bits += plan.wire_bits;
-    if (plan.wire_bits > 0) {
-      out.totals.retransmission_bits.push_back(plan.wire_bits);
-    }
-    if (plan.frames.empty()) continue;
-    ++out.totals.data_transmissions;
-    std::vector<arq::ReceivedRepairFrame> received;
-    received.reserve(plan.frames.size());
-    for (const auto& f : plan.frames) {
-      arq::ReceivedRepairFrame rf(f.range, f.aux, repair_channel(f.bits));
-      rf.origin = f.origin;
-      rf.coef_mask = f.coef_mask;
-      rf.suspicion = f.suspicion;
-      received.push_back(std::move(rf));
-    }
-    receiver->IngestRepair(received);
-  }
-  out.totals.success = receiver->Complete();
+  const arq::SessionRunStats stats = session.Run(max_rounds);
+  out.totals = stats.totals;
+  out.rounds = stats.rounds;
+  // Both collided copies of A crossed the air whether or not anything
+  // is distilled from them, so both legs pay the same initial budget:
+  // the session charged the first, the second goes on top.
+  ++out.totals.data_transmissions;
+  out.totals.forward_bits += body.size();
   return out;
 }
 

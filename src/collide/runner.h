@@ -1,8 +1,9 @@
 // One PP-ARQ packet exchange whose initial transmission is a two-party
 // double collision: the packet under recovery (A) collides twice with
 // the same interfering packet (B) at different offsets, the collision
-// listener distills equations from the pair of captures, and the
-// coded-repair feedback loop finishes whatever rank is still missing.
+// listener distills equations from the pair of captures, and a
+// two-party arq::RecoverySession finishes whatever rank is still
+// missing.
 // The discard baseline — today's behavior — is the same exchange with
 // `resolve` off: the receiver keeps only the clean codewords of the
 // first capture and pays for the rest in repair symbols.
@@ -34,13 +35,13 @@ struct CollisionExchangeOutcome {
 // `strategy` must come from a kCollisionResolve config (its receiver
 // implements CollisionEquationConsumer); `episode_rng` drives every
 // collision draw (seed it from arq::SeedForCollisionRound so runs are
-// schedule-invariant); `repair_channel` carries the repair exchange.
+// schedule-invariant); `repair_channel` is the session's source ->
+// destination edge, carrying the repair exchange.
 // Both collided transmissions are charged to the forward budget — the
 // discard and resolve legs pay identical initial airtime, so any
 // repair-bit difference is pure collision-recovery yield.
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
-    const BitVec& payload_bits, const arq::PpArqConfig& config,
-    const arq::RecoveryStrategy& strategy,
+    const BitVec& payload_bits, const arq::RecoveryStrategy& strategy,
     const arq::BodyChannel& repair_channel,
     const CollisionEpisodeParams& episode_params, Rng& episode_rng,
     const CollisionListenerConfig& listener_config, bool resolve,

@@ -101,8 +101,46 @@ RepairSymbol RlncEncoder::MakeRepair(std::uint32_t seed) const {
   return out;
 }
 
+std::size_t GaussJordanInsert(std::span<std::uint8_t* const> basis,
+                              std::span<std::uint8_t> work,
+                              std::vector<GfTerm>& terms) {
+  const std::size_t width = basis.size();
+  const std::size_t row_bytes = work.size();
+  assert(row_bytes >= width);
+  // Forward-eliminate against every existing pivot. Pivot rows are
+  // Gauss-Jordan reduced — zero at every OTHER pivot column — so
+  // eliminating against pivot j never changes the factor a later pivot
+  // sees; all factors can be read upfront and the whole sweep batched
+  // into ONE GfAxpyN over the fused [coefs | data] rows: coefficient
+  // and payload bytes are eliminated in the same pass instead of two.
+  terms.clear();
+  for (std::size_t j = 0; j < width; ++j) {
+    if (work[j] == 0 || basis[j] == nullptr) continue;
+    terms.push_back({work[j], {basis[j], row_bytes}});
+  }
+  GfAxpyN(work, terms);
+
+  // Find the new pivot column, if any rank survives.
+  std::size_t lead = 0;
+  while (lead < width && work[lead] == 0) ++lead;
+  if (lead == width) return width;  // linearly dependent
+
+  GfScale(work, GfInv(work[lead]));
+
+  // Back-eliminate the new column from existing rows so the basis stays
+  // Gauss-Jordan reduced — again one fused pass per affected row.
+  for (std::size_t j = 0; j < width; ++j) {
+    if (basis[j] == nullptr || basis[j][lead] == 0) continue;
+    GfAxpy({basis[j], row_bytes}, basis[j][lead], work);
+  }
+  return lead;
+}
+
 RlncDecoder::RlncDecoder(std::size_t n_source, std::size_t symbol_bytes)
-    : n_source_(n_source), symbol_bytes_(symbol_bytes), pivot_(n_source) {
+    : n_source_(n_source),
+      symbol_bytes_(symbol_bytes),
+      rows_(n_source),
+      pivot_(n_source, nullptr) {
   if (n_source == 0 || symbol_bytes == 0) {
     throw std::invalid_argument("RlncDecoder: empty source block");
   }
@@ -156,72 +194,25 @@ bool RlncDecoder::AddEquationSpan(std::span<const std::uint8_t> coefs,
 }
 
 bool RlncDecoder::EliminateWork() {
-  // Forward-eliminate against every existing pivot. Pivot rows are
-  // Gauss-Jordan reduced — zero at every OTHER pivot column — so
-  // eliminating against pivot j never changes the factor a later pivot
-  // sees; all factors can be read upfront and the whole sweep batched
-  // into ONE GfAxpyN over the fused [coefs | data] rows: coefficient
-  // and payload bytes are eliminated in the same pass instead of two.
-  terms_.clear();
-  for (std::size_t j = 0; j < n_source_; ++j) {
-    if (work_[j] == 0 || !pivot_[j].has_value()) continue;
-    terms_.push_back({work_[j], *pivot_[j]});
-  }
-  GfAxpyN(work_, terms_);
-
-  // Find the new pivot column, if any rank survives.
-  std::size_t lead = n_source_;
-  for (std::size_t j = 0; j < n_source_; ++j) {
-    if (work_[j] != 0) {
-      lead = j;
-      break;
-    }
-  }
-  if (lead == n_source_) return false;  // linearly dependent
-
-  GfScale(work_, GfInv(work_[lead]));
-
-  // Back-eliminate the new column from existing rows so the basis stays
-  // Gauss-Jordan reduced — again one fused pass per affected row.
-  for (std::size_t j = 0; j < n_source_; ++j) {
-    if (!pivot_[j].has_value()) continue;
-    const std::uint8_t factor = (*pivot_[j])[lead];
-    if (factor == 0) continue;
-    GfAxpy(*pivot_[j], factor, work_);
-  }
-
-  // Swap the work row into a (possibly recycled) pivot row; the retired
-  // buffer becomes the next call's work scratch.
-  Row row = TakeSpareRow();
-  row.swap(work_);
-  pivot_[lead] = std::move(row);
+  const std::size_t lead = GaussJordanInsert(pivot_, work_, terms_);
+  if (lead == n_source_) return false;
+  // Swap the work row into the column's row buffer; the retired buffer
+  // (empty, or parked by Reset) becomes the next call's work scratch.
+  rows_[lead].swap(work_);
+  pivot_[lead] = rows_[lead].data();
   ++rank_;
   return true;
 }
 
-RlncDecoder::Row RlncDecoder::TakeSpareRow() {
-  if (spare_.empty()) return Row{};
-  Row row = std::move(spare_.back());
-  spare_.pop_back();
-  return row;
-}
-
 void RlncDecoder::Reset() {
-  // Park retired pivot rows for reuse: a rebuild (the
-  // CodedRepairSession evict-and-replay loop) re-inserts the same
-  // number of rows it just dropped, so steady state allocates nothing.
-  for (auto& p : pivot_) {
-    if (p.has_value()) spare_.push_back(std::move(*p));
-    p.reset();
-  }
+  std::fill(pivot_.begin(), pivot_.end(), nullptr);
   rank_ = 0;
 }
 
 std::span<const std::uint8_t> RlncDecoder::Symbol(std::size_t i) const {
   assert(Complete());
-  assert(i < n_source_ && pivot_[i].has_value());
-  return std::span<const std::uint8_t>(*pivot_[i]).subspan(n_source_,
-                                                           symbol_bytes_);
+  assert(i < n_source_ && pivot_[i] != nullptr);
+  return {pivot_[i] + n_source_, symbol_bytes_};
 }
 
 }  // namespace ppr::fec

@@ -18,15 +18,18 @@
 // a single GfAxpyN/GfScale/GfAxpy pass over coefficient and payload
 // bytes together instead of two sweeps, halving dispatch overhead and
 // streaming each row through cache once.
+//
+// That step is GaussJordanInsert, the tree's one elimination kernel:
+// RlncDecoder, the stream window decoder (stream/window.h) and the flow
+// engine's per-flow solver (engine/flow_engine.h) all bank equations
+// through it, each over rows it lays out itself.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
 #include "fec/gf256.h"
 
 namespace ppr::fec {
@@ -89,6 +92,22 @@ RepairSymbol MakeMaskedRepair(
 std::vector<std::uint8_t> MaskedCoefficients(std::uint32_t seed,
                                              const std::vector<bool>& have);
 
+// One incremental Gauss-Jordan step over fused rows. `work` is one
+// equation laid out [coefs(width) | data], width = basis.size().
+// basis[j] is null when column j has no pivot, else it points at a row
+// of work.size() bytes in the same layout, with a 1 at column j and a 0
+// at every other pivot column. The caller owns the rows and may place
+// them anywhere (e.g. arena rows at a stride wider than the row).
+//
+// Reduces `work` against the basis. When a nonzero coefficient
+// survives, scales `work` to a leading 1, eliminates that column from
+// every basis row, and returns it: the caller then stores `work` as
+// that column's pivot row. A dependent row returns `width` and leaves
+// every basis row untouched. `terms` is reused scratch.
+std::size_t GaussJordanInsert(std::span<std::uint8_t* const> basis,
+                              std::span<std::uint8_t> work,
+                              std::vector<GfTerm>& terms);
+
 class RlncEncoder {
  public:
   // All source symbols must be non-empty and the same size.
@@ -106,9 +125,14 @@ class RlncEncoder {
   std::vector<std::vector<std::uint8_t>> source_;
 };
 
-class RlncDecoder : public EquationSink {
+class RlncDecoder {
  public:
   RlncDecoder(std::size_t n_source, std::size_t symbol_bytes);
+  // pivot_ points into rows_, so a copy would alias the original.
+  RlncDecoder(const RlncDecoder&) = delete;
+  RlncDecoder& operator=(const RlncDecoder&) = delete;
+  RlncDecoder(RlncDecoder&&) = default;
+  RlncDecoder& operator=(RlncDecoder&&) = default;
 
   std::size_t num_source() const { return n_source_; }
   std::size_t symbol_bytes() const { return symbol_bytes_; }
@@ -141,18 +165,10 @@ class RlncDecoder : public EquationSink {
   bool AddEquationSpan(std::span<const std::uint8_t> coefs,
                        std::span<const std::uint8_t> data);
 
-  // EquationSink: column i is source symbol i.
-  std::size_t equation_width() const override { return n_source_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override {
-    return AddEquationSpan(coefs, data);
-  }
-
-  // Back to rank 0 with the same shape. Pivot row buffers are parked in
-  // a spare pool and reused by later insertions — cheaper than
-  // reconstructing the decoder when a session rebuilds its elimination
-  // state (CodedRepairSession::Rebuild).
+  // Back to rank 0 with the same shape. Row buffers are kept and
+  // reused by later insertions — cheaper than reconstructing the
+  // decoder when a session rebuilds its elimination state
+  // (CodedRepairSession::Rebuild).
   void Reset();
 
   // Decoded source symbol `i` (a view into the pivot row, valid until
@@ -165,31 +181,26 @@ class RlncDecoder : public EquationSink {
   using Row = std::vector<std::uint8_t>;
 
   std::size_t row_bytes() const { return n_source_ + symbol_bytes_; }
-  std::span<const std::uint8_t> RowCoefs(const Row& row) const {
-    return {row.data(), n_source_};
-  }
 
-  // Runs the elimination sweep over the fused work row (work_),
-  // inserting the surviving pivot. The shared core of every ingest
-  // entry point.
+  // Inserts the fused work row (work_) through GaussJordanInsert. The
+  // shared core of every ingest entry point.
   bool EliminateWork();
-  Row TakeSpareRow();
 
   std::size_t n_source_;
   std::size_t symbol_bytes_;
   std::size_t rank_ = 0;
-  // pivot_[i] holds the row whose leading coefficient is column i,
-  // scaled to 1 and with zeros at every other pivot column (Gauss-Jordan
-  // reduced). At full rank each row is the unit vector e_i, so its data
-  // half IS source symbol i.
-  std::vector<std::optional<Row>> pivot_;
-  // Reused scratch: the in-flight fused equation, the batched
-  // elimination term list, seed-expanded coefficients, and retired row
-  // buffers.
+  // pivot_[i] is null, or rows_[i].data(): the row whose leading
+  // coefficient is column i, scaled to 1 and with zeros at every other
+  // pivot column (Gauss-Jordan reduced). At full rank each row is the
+  // unit vector e_i, so its data half IS source symbol i. rows_[i]
+  // keeps its buffer across Reset, so a rebuild allocates nothing.
+  std::vector<Row> rows_;
+  std::vector<std::uint8_t*> pivot_;
+  // Reused scratch: the in-flight fused equation, the kernel's term
+  // list, and seed-expanded coefficients.
   Row work_;
   std::vector<GfTerm> terms_;
   std::vector<std::uint8_t> coef_scratch_;
-  std::vector<Row> spare_;
 };
 
 }  // namespace ppr::fec

@@ -63,15 +63,6 @@ struct RelayWaveformParams {
   WaveformChannelParams relay_link;   // relay -> destination
 };
 
-// One kRelayCodedRepair exchange with every hop carried by a real
-// waveform channel. The per-party breakdown (ids in
-// arq/recovery_session.h) is what separates source-transmitted repair
-// bits from the relay's contribution.
-arq::SessionRunStats RunWaveformRelayRecovery(
-    std::size_t payload_octets, const arq::PpArqConfig& arq_config,
-    const WaveformChannelParams& direct, const RelayWaveformParams& relay,
-    Rng& payload_rng);
-
 // Joint-loss statistics of one waveform session's shared medium:
 // listener 0 is the destination, listener i the i-th relay's overheard
 // copy; `medium` aggregates across the roster (the

@@ -261,9 +261,8 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
       Rng episode_rng(episode_seed);
       if (episode_rng.Bernoulli(recovery.collision_contention)) {
         const auto outcome = collide::RunCollisionRecoveryExchange(
-            payload, recovery.arq, fallback, channel, episode_params,
-            episode_rng, listener_config, recovery.collision_resolve,
-            recovery.max_rounds);
+            payload, fallback, channel, episode_params, episode_rng,
+            listener_config, recovery.collision_resolve, recovery.max_rounds);
         ++link.packets;
         if (outcome.totals.success) {
           ++link.completed;

@@ -112,10 +112,10 @@ bool WindowDecoder::AddSource(SymbolId id, std::vector<std::uint8_t> data,
     Row row = std::move(*pivots_[col]);
     pivots_[col].reset();
     --rank_;
-    row.coefs[col] = 0;
-    fec::GfAxpy(row.data, 1, data);
+    row[col] = 0;
+    fec::GfAxpy(RowData(row), 1, data);
     SetKnown(id, std::move(data), recovered);
-    AddRow(std::move(row.coefs), std::move(row.data));
+    AddRow(std::move(row));
     ExtractUnitRows(col);
     return true;
   }
@@ -148,8 +148,9 @@ bool WindowDecoder::AddRepair(const StreamRepairSymbol& repair) {
 
   // Substitute every known symbol out of the equation; what is left is
   // a relation over the window's unknown columns only.
-  std::vector<std::uint8_t> coefs(capacity_, 0);
-  std::vector<std::uint8_t> data = repair.data;
+  Row row(capacity_ + symbol_bytes_, 0);
+  std::copy(repair.data.begin(), repair.data.end(),
+            row.begin() + static_cast<std::ptrdiff_t>(capacity_));
   const auto span_coefs = fec::RepairCoefficients(repair.seed, repair.span);
   std::vector<fec::GfTerm> known_terms;
   bool any_unknown = false;
@@ -163,83 +164,23 @@ bool WindowDecoder::AddRepair(const StreamRepairSymbol& repair) {
     } else if (Known(id)) {
       known_terms.push_back({c, KnownData(id)});
     } else {
-      coefs[static_cast<std::size_t>(id - base_)] = c;
+      row[static_cast<std::size_t>(id - base_)] = c;
       any_unknown = true;
     }
   }
-  fec::GfAxpyN(data, known_terms);
+  fec::GfAxpyN(RowData(row), known_terms);
   if (!any_unknown) return false;  // everything already known
-  return AddRow(std::move(coefs), std::move(data));
+  return AddRow(std::move(row));
 }
 
-bool WindowDecoder::ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                                        std::span<const std::uint8_t> data) {
-  if (coefs.size() != capacity_ || data.size() != symbol_bytes_) {
-    throw std::invalid_argument("WindowDecoder::ConsumeEquationSpan: shape");
-  }
-  // Window-anchored columns can never reach back before base_, so the
-  // retired-ring staleness cases of AddRepair cannot arise: only the
-  // known-column substitution remains.
-  std::vector<std::uint8_t> row_coefs(capacity_, 0);
-  std::vector<std::uint8_t> row_data(data.begin(), data.end());
-  std::vector<fec::GfTerm> known_terms;
-  bool any_unknown = false;
-  SymbolId end = base_;
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    const std::uint8_t c = coefs[i];
-    if (c == 0) continue;
-    const SymbolId id = base_ + i;
-    end = id + 1;
-    if (Known(id)) {
-      known_terms.push_back({c, KnownData(id)});
-    } else {
-      row_coefs[i] = c;
-      any_unknown = true;
-    }
-  }
-  if (end == base_) return false;  // all-zero equation
-  highest_seen_ = std::max(highest_seen_, end);
-  fec::GfAxpyN(row_data, known_terms);
-  if (!any_unknown) return false;  // everything already known
-  return AddRow(std::move(row_coefs), std::move(row_data));
-}
-
-bool WindowDecoder::AddRow(std::vector<std::uint8_t> coefs,
-                           std::vector<std::uint8_t> data) {
-  // Forward-eliminate against the basis. Pivot rows are Gauss-Jordan
-  // reduced (zero at every other pivot column), so the factors can be
-  // read upfront and the sweep batched, as in fec::RlncDecoder.
-  std::vector<fec::GfTerm> coef_terms, data_terms;
+bool WindowDecoder::AddRow(Row row) {
+  basis_.resize(capacity_);
   for (std::size_t j = 0; j < capacity_; ++j) {
-    if (coefs[j] == 0 || !pivots_[j].has_value()) continue;
-    coef_terms.push_back({coefs[j], pivots_[j]->coefs});
-    data_terms.push_back({coefs[j], pivots_[j]->data});
+    basis_[j] = pivots_[j].has_value() ? pivots_[j]->data() : nullptr;
   }
-  fec::GfAxpyN(coefs, coef_terms);
-  fec::GfAxpyN(data, data_terms);
-
-  std::size_t lead = capacity_;
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (coefs[j] != 0) {
-      lead = j;
-      break;
-    }
-  }
+  const std::size_t lead = fec::GaussJordanInsert(basis_, row, terms_);
   if (lead == capacity_) return false;  // linearly dependent
-
-  const std::uint8_t inv = fec::GfInv(coefs[lead]);
-  fec::GfScale(coefs, inv);
-  fec::GfScale(data, inv);
-
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (!pivots_[j].has_value()) continue;
-    const std::uint8_t factor = pivots_[j]->coefs[lead];
-    if (factor == 0) continue;
-    fec::GfAxpy(pivots_[j]->coefs, factor, coefs);
-    fec::GfAxpy(pivots_[j]->data, factor, data);
-  }
-
-  pivots_[lead] = Row{std::move(coefs), std::move(data)};
+  pivots_[lead] = std::move(row);
   ++rank_;
   ExtractUnitRows(lead);
   return true;
@@ -254,10 +195,11 @@ void WindowDecoder::SetKnown(SymbolId id, std::vector<std::uint8_t> data,
   // column (possible when it was a non-pivot column).
   for (std::size_t j = 0; j < capacity_; ++j) {
     if (!pivots_[j].has_value()) continue;
-    const std::uint8_t c = pivots_[j]->coefs[col];
+    Row& row = *pivots_[j];
+    const std::uint8_t c = row[col];
     if (c == 0) continue;
-    fec::GfAxpy(pivots_[j]->data, c, data);
-    pivots_[j]->coefs[col] = 0;
+    fec::GfAxpy(RowData(row), c, data);
+    row[col] = 0;
   }
   known_[Slot(id)] = std::move(data);
   recovered_[Slot(id)] = recovered;
@@ -280,14 +222,17 @@ void WindowDecoder::ExtractUnitRows(std::size_t hint_col) {
       const Row& row = *pivots_[j];
       bool unit = true;
       for (std::size_t k = 0; k < capacity_; ++k) {
-        if (k != j && row.coefs[k] != 0) {
+        if (k != j && row[k] != 0) {
           unit = false;
           break;
         }
       }
       if (!unit) continue;
-      assert(row.coefs[j] == 1);
-      std::vector<std::uint8_t> data = std::move(pivots_[j]->data);
+      assert(row[j] == 1);
+      // Drop the coefficient prefix in place: what remains is the data.
+      std::vector<std::uint8_t> data = std::move(*pivots_[j]);
+      data.erase(data.begin(),
+                 data.begin() + static_cast<std::ptrdiff_t>(capacity_));
       pivots_[j].reset();
       --rank_;
       SetKnown(base_ + j, std::move(data), /*recovered=*/true);
@@ -325,13 +270,12 @@ std::vector<DeliverableSymbol> WindowDecoder::PopDeliverable() {
   pivots_.resize(capacity_);
   for (auto& pivot : pivots_) {
     if (!pivot.has_value()) continue;
-    auto& coefs = pivot->coefs;
-    assert(std::all_of(coefs.begin(),
-                       coefs.begin() + static_cast<std::ptrdiff_t>(shift),
-                       [](std::uint8_t c) { return c == 0; }));
-    coefs.erase(coefs.begin(),
-                coefs.begin() + static_cast<std::ptrdiff_t>(shift));
-    coefs.resize(capacity_, 0);
+    // Shift the coefficient prefix left in place; the data half stays.
+    const auto coefs = pivot->begin();
+    const auto coefs_end = coefs + static_cast<std::ptrdiff_t>(capacity_);
+    const auto cut = coefs + static_cast<std::ptrdiff_t>(shift);
+    assert(std::all_of(coefs, cut, [](std::uint8_t c) { return c == 0; }));
+    std::fill(std::copy(cut, coefs_end, coefs), coefs_end, 0);
   }
   return out;
 }

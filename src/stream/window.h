@@ -32,7 +32,7 @@
 #include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
+#include "fec/gf256.h"
 #include "stream/stream_ids.h"
 
 namespace ppr::stream {
@@ -98,7 +98,7 @@ struct DeliverableSymbol {
 
 // Destination side: known-symbol ring plus an equation basis over the
 // window's unknown columns.
-class WindowDecoder : public fec::EquationSink {
+class WindowDecoder {
  public:
   WindowDecoder(std::size_t capacity, std::size_t symbol_bytes);
 
@@ -135,18 +135,6 @@ class WindowDecoder : public fec::EquationSink {
   // repairs overrunning the window return false.
   bool AddRepair(const StreamRepairSymbol& repair);
 
-  // EquationSink: a dense equation anchored at the frontier — coefs[i]
-  // applies to symbol next_expected() + i. Known columns (delivered or
-  // recovered) are substituted out before the remainder joins the
-  // basis, exactly as AddRepair does for seed-expanded equations, so a
-  // driver holding "some EquationSink" (the flow engine, a
-  // collision-recovery listener) feeds the stream decoder the same way
-  // it feeds fec::RlncDecoder. Returns true if the rank increased.
-  std::size_t equation_width() const override { return capacity_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override;
-
   // Pops the known prefix at the frontier, advancing the window. The
   // caller timestamps and releases them (stream/delivery_queue.h).
   std::vector<DeliverableSymbol> PopDeliverable();
@@ -156,23 +144,25 @@ class WindowDecoder : public fec::EquationSink {
   std::size_t overflow_dropped() const { return overflow_dropped_; }
 
  private:
-  struct Row {
-    // coefs[i] applies to symbol base_ + i; Gauss-Jordan reduced
-    // against every other pivot row, zero on every known column.
-    std::vector<std::uint8_t> coefs;
-    std::vector<std::uint8_t> data;
-  };
+  // One fused basis row: capacity_ coefficients, then symbol_bytes_ of
+  // data. Coefficient i applies to symbol base_ + i; the row is
+  // Gauss-Jordan reduced against every other pivot row and zero on
+  // every known column.
+  using Row = std::vector<std::uint8_t>;
 
   std::size_t Slot(SymbolId id) const {
     return static_cast<std::size_t>(id % capacity_);
   }
   bool Known(SymbolId id) const;
   const std::vector<std::uint8_t>& KnownData(SymbolId id) const;
-  // Substitutes knowns out of a window-anchored dense row, reduces it
-  // against the basis, inserts the surviving pivot, and extracts any
-  // rows elimination turned into unit vectors. Returns true if the
-  // rank increased.
-  bool AddRow(std::vector<std::uint8_t> coefs, std::vector<std::uint8_t> data);
+  std::span<std::uint8_t> RowData(Row& row) const {
+    return std::span(row).subspan(capacity_);
+  }
+  // Reduces a fused row (knowns already substituted out) against the
+  // basis through fec::GaussJordanInsert, inserts the surviving pivot,
+  // and extracts any rows elimination turned into unit vectors.
+  // Returns true if the rank increased.
+  bool AddRow(Row row);
   void SetKnown(SymbolId id, std::vector<std::uint8_t> data, bool recovered);
   void ExtractUnitRows(std::size_t hint_col);
 
@@ -195,6 +185,9 @@ class WindowDecoder : public fec::EquationSink {
   // shifted on advance (retired columns are zero everywhere, so the
   // shift never re-eliminates).
   std::vector<std::optional<Row>> pivots_;
+  // AddRow scratch: the kernel's basis view of pivots_ and term list.
+  std::vector<std::uint8_t*> basis_;
+  std::vector<fec::GfTerm> terms_;
 };
 
 }  // namespace ppr::stream

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "arq/link_sim.h"
 #include "common/crc.h"
@@ -91,7 +92,7 @@ TEST(RecoverySessionTest, RequiresADestination) {
   const auto strategy = MakeRecoveryStrategy(config);
   Rng rng(601);
   const BitVec body = PpArqSender::MakeBody(RandomPayload(rng, 40));
-  RecoverySession session;
+  RecoverySession session{SessionConfig{}};
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   EXPECT_THROW(session.Run(4), std::logic_error);
 }
@@ -99,7 +100,7 @@ TEST(RecoverySessionTest, RequiresADestination) {
 TEST(RecoverySessionTest, RejectsSecondDestination) {
   PpArqConfig config;
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session{SessionConfig{}};
   session.AddParty(strategy->MakeDestinationParticipant(1, 128));
   EXPECT_THROW(session.AddParty(strategy->MakeDestinationParticipant(1, 128)),
                std::invalid_argument);
@@ -263,14 +264,18 @@ TEST(RecoverySessionTest, RelaySessionDeliversExactPayload) {
 
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  SessionConfig topology;
+  topology.edges.push_back({kSessionSourceId, kSessionDestinationId,
+                            channels.source_to_destination});
+  topology.edges.push_back(
+      {kSessionSourceId, kSessionRelayId, channels.source_to_relay});
+  topology.edges.push_back({kSessionRelayId, kSessionDestinationId,
+                            channels.relay_to_destination});
+  RecoverySession session(std::move(topology));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, body.size() / 4));
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
-  session.SetEdgeChannel(0, 2, channels.source_to_relay);
-  session.SetEdgeChannel(2, dest_id, channels.relay_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);
@@ -333,14 +338,18 @@ TEST(RecoverySessionTest, RelayMissDoesNotPoisonDestination) {
 
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  SessionConfig topology;
+  topology.edges.push_back({kSessionSourceId, kSessionDestinationId,
+                            channels.source_to_destination});
+  topology.edges.push_back(
+      {kSessionSourceId, kSessionRelayId, channels.source_to_relay});
+  topology.edges.push_back({kSessionRelayId, kSessionDestinationId,
+                            channels.relay_to_destination});
+  RecoverySession session(std::move(topology));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, body.size() / 4));
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
-  session.SetEdgeChannel(0, 2, channels.source_to_relay);
-  session.SetEdgeChannel(2, dest_id, channels.relay_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);
@@ -432,18 +441,22 @@ TEST(MultiRelaySessionTest, TwoRelaySessionDeliversExactPayload) {
       MakeGilbertElliottChannel(cb, StrongParams(), hop_b)};
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  SessionConfig topology;
+  for (std::size_t i = 0; i < 2; ++i) {
+    topology.edges.push_back({kSessionSourceId, kSessionRelayId + i,
+                              channels.source_to_relay[i]});
+    topology.edges.push_back({kSessionRelayId + i, kSessionDestinationId,
+                              channels.relay_to_destination[i]});
+  }
+  topology.edges.push_back({kSessionSourceId, kSessionDestinationId,
+                            channels.source_to_destination});
+  RecoverySession session(std::move(topology));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   for (std::uint8_t r = 1; r <= 2; ++r) {
-    const PartyId id = session.AddParty(
-        strategy->MakeRelayParticipant(r, 1, body.size() / 4));
-    session.SetEdgeChannel(0, id, channels.source_to_relay[r - 1]);
-    session.SetEdgeChannel(id, dest_id,
-                           channels.relay_to_destination[r - 1]);
+    session.AddParty(strategy->MakeRelayParticipant(r, 1, body.size() / 4));
   }
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);

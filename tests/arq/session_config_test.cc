@@ -1,8 +1,7 @@
-// SessionConfig + RunRound stepping (satellites of the flow engine
-// PR): the immutable-topology constructor must reproduce the
-// deprecated setter path bit for bit, and stepping a session one
-// RunRound at a time — the way the flow engine drives compat sessions
-// — must equal the blocking Run() loop exactly.
+// SessionConfig + RunRound stepping: the immutable-topology
+// constructor validates the roster at first traffic, and stepping a
+// session one RunRound at a time must equal the blocking Run() loop
+// exactly.
 #include "arq/recovery_session.h"
 
 #include <gtest/gtest.h>
@@ -67,11 +66,10 @@ bool StatsEqual(const SessionRunStats& a, const SessionRunStats& b) {
   return true;
 }
 
-// One lossy three-party exchange, built either through SessionConfig
-// (config=true) or through the deprecated setters (config=false), then
-// driven either by Run(32) (stepped=false) or by RunRound stepping
-// (stepped=true). All four combinations must produce identical stats.
-SessionRunStats RunGoldenExchange(bool via_config, bool stepped) {
+// One lossy three-party exchange, driven either by Run(32)
+// (stepped=false) or by RunRound stepping (stepped=true). Both must
+// produce identical stats.
+SessionRunStats RunGoldenExchange(bool stepped) {
   const phy::ChipCodebook cb;
   Rng prng(731);
   const BitVec payload = RandomPayload(prng, 150);
@@ -87,24 +85,15 @@ SessionRunStats RunGoldenExchange(bool via_config, bool stepped) {
   auto overhear_ch = MakeGilbertElliottChannel(cb, StrongParams(), overhear);
   auto hop_ch = MakeGilbertElliottChannel(cb, StrongParams(), hop);
 
-  RecoverySession session = [&] {
-    if (!via_config) return RecoverySession();
-    SessionConfig topology;
-    topology.edges.push_back(
-        {kSessionSourceId, kSessionDestinationId, direct_ch});
-    topology.edges.push_back({kSessionSourceId, kSessionRelayId, overhear_ch});
-    topology.edges.push_back(
-        {kSessionRelayId, kSessionDestinationId, hop_ch});
-    return RecoverySession(std::move(topology));
-  }();
+  SessionConfig topology;
+  topology.edges.push_back(
+      {kSessionSourceId, kSessionDestinationId, direct_ch});
+  topology.edges.push_back({kSessionSourceId, kSessionRelayId, overhear_ch});
+  topology.edges.push_back({kSessionRelayId, kSessionDestinationId, hop_ch});
+  RecoverySession session(std::move(topology));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   session.AddParty(strategy->MakeDestinationParticipant(1, total_codewords));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, total_codewords));
-  if (!via_config) {
-    session.SetEdgeChannel(kSessionSourceId, kSessionDestinationId, direct_ch);
-    session.SetEdgeChannel(kSessionSourceId, kSessionRelayId, overhear_ch);
-    session.SetEdgeChannel(kSessionRelayId, kSessionDestinationId, hop_ch);
-  }
   session.TransmitInitial(kSessionSourceId, body);
   if (!stepped) return session.Run(32);
   for (std::size_t round = 0; round < 32; ++round) {
@@ -113,20 +102,11 @@ SessionRunStats RunGoldenExchange(bool via_config, bool stepped) {
   return session.Conclude();
 }
 
-TEST(SessionConfigTest, ConfigAndSetterPathsAreBitIdentical) {
-  const SessionRunStats setter = RunGoldenExchange(false, false);
-  const SessionRunStats config = RunGoldenExchange(true, false);
-  ASSERT_TRUE(setter.totals.success);
-  EXPECT_TRUE(StatsEqual(setter, config));
-}
-
 TEST(SessionConfigTest, RunRoundSteppingEqualsBlockingRun) {
-  const SessionRunStats blocking = RunGoldenExchange(true, false);
-  const SessionRunStats stepped = RunGoldenExchange(true, true);
+  const SessionRunStats blocking = RunGoldenExchange(/*stepped=*/false);
+  const SessionRunStats stepped = RunGoldenExchange(/*stepped=*/true);
   ASSERT_TRUE(blocking.totals.success);
   EXPECT_TRUE(StatsEqual(blocking, stepped));
-  // And mixed: setter-built, stepped.
-  EXPECT_TRUE(StatsEqual(blocking, RunGoldenExchange(false, true)));
 }
 
 TEST(SessionConfigTest, ConstructionRejectsDegenerateTopology) {

@@ -136,8 +136,8 @@ TEST(CollisionRunnerTest, ResolveDeliversWithFewerRepairBitsThanDiscard) {
       const auto channel =
           arq::MakeChipErrorChannel(codebook, 0.0, channel_rng);
       const auto outcome = RunCollisionRecoveryExchange(
-          payload, config, *strategy, channel, params, episode_rng,
-          listener_config, resolve);
+          payload, *strategy, channel, params, episode_rng, listener_config,
+          resolve);
       EXPECT_TRUE(outcome.totals.success);
       std::size_t repair = 0;
       for (const auto bits : outcome.totals.retransmission_bits) {
@@ -159,6 +159,44 @@ TEST(CollisionRunnerTest, ResolveDeliversWithFewerRepairBitsThanDiscard) {
   EXPECT_GT(pairs, 0u);
   // Collision recovery yields strictly cheaper repair at equal delivery.
   EXPECT_LT(resolve_repair, discard_repair);
+}
+
+// Accounting: both collided copies of the packet are charged on the
+// forward leg — two initial transmissions of the body — plus one data
+// transmission per repair message the session sent.
+TEST(CollisionRunnerTest, ChargesBothCollidedCopies) {
+  arq::PpArqConfig config;
+  config.recovery = arq::RecoveryMode::kCollisionResolve;
+  config.codewords_per_fec_symbol = 4;
+  const auto strategy = arq::MakeRecoveryStrategy(config);
+  const phy::ChipCodebook codebook;
+  CollisionEpisodeParams params;
+  params.b_octets = 40;
+  params.chip_error_p = 0.0;
+  CollisionListenerConfig listener_config;
+  listener_config.codewords_per_fec_symbol = 4;
+
+  Rng payload_rng(41);
+  BitVec payload;
+  for (std::size_t i = 0; i < 40; ++i) {
+    payload.AppendUint(payload_rng.UniformInt(256), 8);
+  }
+  const std::size_t body_bits = arq::PpArqSender::MakeBody(payload).size();
+  for (const bool resolve : {true, false}) {
+    Rng episode_rng(41000);
+    Rng channel_rng(42000);
+    const auto channel = arq::MakeChipErrorChannel(codebook, 0.0, channel_rng);
+    const auto outcome = RunCollisionRecoveryExchange(
+        payload, *strategy, channel, params, episode_rng, listener_config,
+        resolve);
+    ASSERT_TRUE(outcome.totals.success) << "resolve=" << resolve;
+    std::size_t repair = 0;
+    for (const auto bits : outcome.totals.retransmission_bits) repair += bits;
+    EXPECT_EQ(outcome.totals.forward_bits, 2 * body_bits + repair);
+    EXPECT_EQ(outcome.totals.data_transmissions,
+              2 + outcome.totals.retransmission_bits.size());
+    EXPECT_EQ(outcome.totals.retransmission_bits.size(), outcome.rounds);
+  }
 }
 
 TEST(CollisionListenerTest, StatsAccumulateAcrossEpisodes) {

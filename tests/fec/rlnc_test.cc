@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -189,6 +193,172 @@ TEST(RlncTest, ResetReturnsToRankZeroAndDecodesAgain) {
   }
   ASSERT_TRUE(decoder.Complete());
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(Decoded(decoder, i), block[i]);
+}
+
+TEST(RlncTest, RepairCoefficientsIntoMatchesAllocatingForm) {
+  for (std::uint32_t seed : {0u, 1u, 42u, 0xFFFFFFFFu}) {
+    const auto want = RepairCoefficients(seed, 24);
+    std::vector<std::uint8_t> got(24);
+    RepairCoefficientsInto(seed, got);
+    EXPECT_EQ(got, want) << "seed=" << seed;
+  }
+}
+
+// The same lossy decode driven through AddEquation (owning vectors)
+// and AddEquationSpan (borrowed spans) lands on identical rank
+// trajectories and identical recovered symbols.
+TEST(RlncTest, SpanIngestMatchesOwningIngest) {
+  Rng rng(907);
+  const auto block = RandomBlock(rng, 12, 40);
+  const RlncEncoder encoder(block);
+
+  RlncDecoder owning(12, 40);
+  RlncDecoder span(12, 40);
+  // Half the systematic symbols arrive; repairs carry the rest.
+  for (std::size_t i = 0; i < 12; i += 2) {
+    EXPECT_TRUE(owning.AddSource(i, block[i]));
+    EXPECT_TRUE(span.AddSourceSpan(i, block[i]));
+  }
+  for (std::uint32_t seed = 1; !owning.Complete(); ++seed) {
+    const RepairSymbol repair = encoder.MakeRepair(seed);
+    const auto coefs = RepairCoefficients(seed, 12);
+    const bool a = owning.AddEquation(coefs, repair.data);
+    const bool b = span.AddEquationSpan(coefs, repair.data);
+    EXPECT_EQ(a, b) << "seed=" << seed;
+    EXPECT_EQ(owning.rank(), span.rank());
+  }
+  ASSERT_TRUE(span.Complete());
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(Decoded(owning, i), block[i]);
+    EXPECT_EQ(Decoded(span, i), block[i]);
+  }
+}
+
+TEST(RlncTest, AddRepairBatchMatchesSerialAddRepair) {
+  Rng rng(919);
+  const auto block = RandomBlock(rng, 10, 32);
+  const RlncEncoder encoder(block);
+  std::vector<RepairSymbol> repairs;
+  for (std::uint32_t seed = 1; seed <= 14; ++seed) {
+    repairs.push_back(encoder.MakeRepair(seed));
+  }
+  RlncDecoder serial(10, 32);
+  RlncDecoder batched(10, 32);
+  std::size_t serial_gained = 0;
+  for (const auto& r : repairs) {
+    if (serial.Complete()) break;  // the batch form stops here too
+    if (serial.AddRepair(r)) ++serial_gained;
+  }
+  const std::size_t batch_gained = batched.AddRepairBatch(repairs);
+  EXPECT_EQ(batch_gained, serial_gained);
+  EXPECT_EQ(batched.rank(), serial.rank());
+  ASSERT_TRUE(batched.Complete());
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(Decoded(batched, i), block[i]);
+  }
+}
+
+// Reset() keeps the row buffers for reuse; the second decode must be
+// exactly as good as a fresh decoder's.
+TEST(RlncTest, ResetRecyclesRowsAcrossDecodes) {
+  Rng rng(929);
+  RlncDecoder decoder(9, 48);
+  for (int round = 0; round < 3; ++round) {
+    const auto block = RandomBlock(rng, 9, 48);
+    const RlncEncoder encoder(block);
+    for (std::uint32_t seed = 1; !decoder.Complete(); ++seed) {
+      decoder.AddRepair(encoder.MakeRepair(PartySeed(0, seed + round * 64)));
+    }
+    for (std::size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(Decoded(decoder, i), block[i]) << "round=" << round;
+    }
+    decoder.Reset();
+    EXPECT_EQ(decoder.rank(), 0u);
+  }
+}
+
+// GaussJordanInsert over caller-owned rows laid out like the flow
+// engine's arena: one fused [coefs(width) | data] row per column at a
+// stride that reserves max_width coefficient bytes, so rows have slack
+// past their live width whenever width < max_width. Fed the same
+// equation stream as RlncDecoder — fresh seeded repairs alternating
+// with dependent combinations of earlier rows, and more rows than full
+// rank needs — it must accept exactly the rows the decoder accepts,
+// return `width` and leave the whole arena byte-identical on every
+// dependent row, never touch the slack, and decode the same symbols.
+TEST(GaussJordanInsertTest, StridedRowsMatchRlncDecoder) {
+  struct Case {
+    std::size_t width;
+    std::size_t max_width;  // coefficient bytes the stride reserves
+    std::size_t bytes;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {1, 3, 8, 1201},   {2, 3, 64, 1202},  {3, 3, 16, 1203},
+      {5, 64, 32, 1204}, {12, 16, 1, 1205},
+  };
+  constexpr std::uint8_t kSlack = 0xA5;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "width=" << c.width
+                                    << " max_width=" << c.max_width
+                                    << " bytes=" << c.bytes);
+    Rng rng(c.seed);
+    const auto block = RandomBlock(rng, c.width, c.bytes);
+    const RlncEncoder encoder(block);
+    const std::size_t row_bytes = c.width + c.bytes;
+    const std::size_t stride = c.max_width + c.bytes;
+    std::vector<std::uint8_t> arena(c.max_width * stride, kSlack);
+    std::vector<std::uint8_t*> basis(c.width, nullptr);
+    std::vector<GfTerm> terms;
+    RlncDecoder decoder(c.width, c.bytes);
+
+    std::vector<std::vector<std::uint8_t>> fed;
+    std::size_t dependent = 0;
+    for (std::uint32_t step = 1; step <= 2 * c.width + 4; ++step) {
+      std::vector<std::uint8_t> row(row_bytes);
+      if (step % 2 == 1) {
+        RepairCoefficientsInto(step, std::span(row).first(c.width));
+        const RepairSymbol repair = encoder.MakeRepair(step);
+        std::copy(repair.data.begin(), repair.data.end(),
+                  row.begin() + static_cast<std::ptrdiff_t>(c.width));
+      } else {
+        row = fed.back();  // in the span of what was fed
+        GfAxpy(row, 3, fed.front());
+      }
+      fed.push_back(row);
+      const std::vector<std::uint8_t> before = arena;
+      const bool gained =
+          decoder.AddEquationSpan(std::span(row).first(c.width),
+                                  std::span(row).subspan(c.width));
+      const std::size_t lead = GaussJordanInsert(basis, row, terms);
+      ASSERT_EQ(lead != c.width, gained) << "step=" << step;
+      if (lead == c.width) {
+        ++dependent;
+        EXPECT_EQ(arena, before) << "step=" << step;
+        continue;
+      }
+      ASSERT_EQ(basis[lead], nullptr);
+      basis[lead] = arena.data() + lead * stride;
+      std::copy(row.begin(), row.end(), basis[lead]);
+    }
+    ASSERT_TRUE(decoder.Complete());
+    EXPECT_GE(dependent, c.width + 2);
+    for (std::size_t i = 0; i < c.width; ++i) {
+      const std::uint8_t* pivot = arena.data() + i * stride;
+      for (std::size_t k = 0; k < c.width; ++k) {
+        EXPECT_EQ(pivot[k], i == k ? 1 : 0) << "row=" << i << " col=" << k;
+      }
+      const std::vector<std::uint8_t> got(pivot + c.width, pivot + row_bytes);
+      EXPECT_EQ(got, Decoded(decoder, i)) << "row=" << i;
+      EXPECT_EQ(got, block[i]) << "row=" << i;
+    }
+    for (std::size_t b = 0; b < arena.size(); ++b) {
+      const bool live = b / stride < c.width && b % stride < row_bytes;
+      if (!live) {
+        ASSERT_EQ(arena[b], kSlack) << "byte=" << b;
+      }
+    }
+  }
 }
 
 }  // namespace
